@@ -289,6 +289,11 @@ class WorkerPool:
         self._dispatcher: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._closed = False
+        #: Self-pipe the dispatcher polls next to the worker pipes, so
+        #: a new batch (or close) wakes it at once instead of at the
+        #: end of its poll interval.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         # Lifetime counters (surfaced by stats() and /metrics).
         self.tasks_completed = 0
         self.respawns = 0
@@ -341,8 +346,12 @@ class WorkerPool:
             self._closed = True
             batches, self._batches = self._batches, []
         self._stop.set()
+        self._wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=join_timeout)
+        if self._dispatcher is None or not self._dispatcher.is_alive():
+            os.close(self._wake_r)
+            os.close(self._wake_w)
         for batch in batches:
             batch.abort(RuntimeError("worker pool closed"))
         for worker in self._workers:
@@ -361,6 +370,12 @@ class WorkerPool:
             except OSError:
                 pass
         self._workers = []
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # wake-ups already pending
 
     def _spawn_worker(self) -> _Worker:
         ctx = multiprocessing.get_context()
@@ -415,6 +430,7 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
             self._batches.append(batch)
+        self._wake()
         delivered = 0
         total = len(batch.results)
         try:
@@ -444,7 +460,7 @@ class WorkerPool:
                 self._assign_work()
                 with self._lock:
                     workers = list(self._workers)
-                waitees = [w.conn for w in workers]
+                waitees = [self._wake_r] + [w.conn for w in workers]
                 waitees += [w.process.sentinel for w in workers]
                 try:
                     ready = conn_wait(waitees, timeout=_POLL_INTERVAL)
@@ -452,6 +468,8 @@ class WorkerPool:
                     ready = []
                 now = time.monotonic()
                 ready = set(ready)
+                if self._wake_r in ready:
+                    os.read(self._wake_r, 4096)
                 for worker in workers:
                     if worker.conn in ready:
                         self._drain_conn(worker, now)

@@ -21,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.power.base import EnergyModel, expected_switches
+from repro.power.base import (
+    RANDOM_SWITCHING_FACTOR,
+    EnergyModel,
+    expected_switches,
+)
 from repro.power.buffer import FIFOBufferPower
 from repro.power.crossbar import MatrixCrossbarPower
 from repro.power.flipflop import FlipFlopPower
@@ -130,12 +134,23 @@ class CentralBufferPower(EnergyModel):
         """Energy of moving one flit into the central buffer.
 
         Input crossbar traversal + pipeline register + bank SRAM write.
+        The bank write energises ``access_bits`` bitlines, but the
+        payloads are one flit wide: the flit's own bits switch by their
+        Hamming distance (``F/2`` without payloads), and the other
+        ``access_bits - flit_bits`` row bits, which the simulator does
+        not track, switch by the random-data expectation of one half
+        each.
         """
         switching = expected_switches(self.flit_bits, old_value, new_value)
+        bank = self.bank_model
+        bank_switching = switching + RANDOM_SWITCHING_FACTOR * (
+            self.access_bits - self.flit_bits)
         return (
             self.input_crossbar.traversal_energy(old_value, new_value)
             + self._register_energy(switching)
-            + self.bank_model.write_energy(old_value, new_value)
+            + (bank.wordline_energy
+               + bank_switching * bank.write_bitline_energy
+               + bank_switching * bank.cell_energy)
         )
 
     def read_energy(self,

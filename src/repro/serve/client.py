@@ -148,7 +148,7 @@ class ServeClient:
     def submit_many(self, payloads: List[Dict[str, Any]]
                     ) -> List[Dict[str, Any]]:
         """Submit many payloads in one pipelined request
-        (``POST /v1/jobs:batch``) instead of one round-trip each.
+        (``POST /v2/jobs:batch``) instead of one round-trip each.
 
         Returns one acceptance dict per payload, in order, each with an
         ``http_status`` field (202 accepted, 200 deduped, 400/429/503

@@ -120,7 +120,7 @@ class Job:
         return self.finished_at - self.started_at
 
     def public_dict(self, with_result: bool = True) -> Dict[str, Any]:
-        """The JSON shape of ``GET /v1/jobs/<id>``."""
+        """The JSON shape of ``GET /v2/jobs/<id>``."""
         out = {
             "id": self.id,
             "kind": self.kind,
@@ -176,7 +176,7 @@ def _resolve_config(data: Any, context: str) -> NetworkConfig:
         raise JobError(f"{context}: bad config: {exc}") from None
 
 
-def _resolve_protocol(data: Any, context: str):
+def _protocol_from(data: Any, context: str):
     try:
         return protocol_from_dict(data or {})
     except (TypeError, ValueError, KeyError) as exc:
@@ -229,7 +229,7 @@ def _parse_run_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
             raise JobError(f"run spec is missing {name!r}")
     config = _resolve_config(spec["config"], "run spec")
     traffic = _resolve_traffic(spec.get("traffic", "uniform"), "run spec")
-    protocol = _resolve_protocol(spec.get("protocol"), "run spec")
+    protocol = _protocol_from(spec.get("protocol"), "run spec")
     try:
         rate = float(spec["rate"])
     except (TypeError, ValueError):
@@ -267,7 +267,7 @@ def _parse_experiment_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
                            for t in fields["traffics"]),
             rates=tuple(float(r) for r in fields["rates"]),
             seeds=tuple(int(s) for s in fields.get("seeds") or (1,)),
-            protocol=_resolve_protocol(fields.get("protocol"),
+            protocol=_protocol_from(fields.get("protocol"),
                                        "experiment spec"))
     except JobError:
         raise

@@ -56,12 +56,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.serve.app import (
-    V1_DEPRECATION,
-    ServeConfig,
-    _json_safe,
-    _legacy_body,
+from repro.serve.app import ServeConfig
+from repro.serve.http import (
+    HTTPFront,
+    Reply,
+    close_writer,
     error_body,
+    open_request,
+    send_json,
+    send_ndjson_head,
 )
 from repro.serve.jobs import JobError, parse_job
 
@@ -173,25 +176,7 @@ class GatewayConfig:
                              f"got {self.drain_timeout}")
 
 
-async def _read_head(reader: asyncio.StreamReader,
-                     timeout: float) -> Tuple[int, Dict[str, str]]:
-    """Status code + lower-cased headers of one backend response."""
-    line = await asyncio.wait_for(reader.readline(), timeout)
-    try:
-        status = int(line.split()[1])
-    except (IndexError, ValueError):
-        raise ConnectionError(f"bad status line {line!r}") from None
-    headers: Dict[str, str] = {}
-    while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers
-
-
-class GatewayApp:
+class GatewayApp(HTTPFront):
     """One running shard gateway."""
 
     def __init__(self, config: GatewayConfig,
@@ -232,7 +217,7 @@ class GatewayApp:
             except (NotImplementedError, RuntimeError, ValueError):
                 pass
         self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port)
+            self.handle_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._log(f"gateway on http://{self.config.host}:{self.port} "
                   f"({len(self.config.backends)} shard(s): "
@@ -282,35 +267,21 @@ class GatewayApp:
                     payload: Optional[Any] = None
                     ) -> Tuple[int, Dict[str, str], Any]:
         """One JSON request/response round-trip with a backend."""
-        host, _, port = backend.rpartition(":")
         timeout = self.config.backend_timeout
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, int(port)), timeout)
+        reader, writer, status, headers = await open_request(
+            backend, method, path, payload, timeout)
         try:
-            body = b"" if payload is None else json.dumps(payload).encode()
-            head = [f"{method} {path} HTTP/1.1", f"Host: {backend}",
-                    "Connection: close"]
-            if body:
-                head += ["Content-Type: application/json",
-                         f"Content-Length: {len(body)}"]
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-            await writer.drain()
-            status, headers = await _read_head(reader, timeout)
             length = int(headers.get("content-length", 0) or 0)
             data = await asyncio.wait_for(
                 reader.readexactly(length) if length else reader.read(),
                 timeout)
-            try:
-                out = json.loads(data) if data else {}
-            except ValueError:
-                out = {"error": data.decode(errors="replace")}
-            return status, headers, out
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+            await close_writer(writer)
+        try:
+            out = json.loads(data) if data else {}
+        except ValueError:
+            out = {"error": data.decode(errors="replace")}
+        return status, headers, out
 
     def _live(self) -> List[str]:
         return [b for b in self.config.backends if self.alive.get(b)]
@@ -386,8 +357,7 @@ class GatewayApp:
     # --- request handlers ---------------------------------------------------
 
     async def _submit_via(self, payload: Any, key: str, *,
-                          record: bool = True
-                          ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+                          record: bool = True) -> Reply:
         """Route one parsed submission to its home shard, retrying on
         the next live shard when the home shard is dead (the submit is
         idempotent: the shard's dedup absorbs any duplicate)."""
@@ -421,8 +391,11 @@ class GatewayApp:
                 extra["Retry-After"] = headers["retry-after"]
             return status, out, extra
 
-    async def _submit(self, payload: Any
-                      ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def note_invalid_json(self) -> None:
+        self.counters["gw_submitted"] += 1
+        self.counters["gw_invalid"] += 1
+
+    async def submit(self, payload: Any) -> Reply:
         self.counters["gw_submitted"] += 1
         if self.draining:
             self.counters["gw_rejected_draining"] += 1
@@ -438,9 +411,7 @@ class GatewayApp:
             out.pop("_backend", None)
         return status, out, extra
 
-    async def _submit_batch(self, payload: Any
-                            ) -> Tuple[int, Dict[str, Any],
-                                       Dict[str, str]]:
+    async def submit_batch(self, payload: Any) -> Reply:
         """Fan one batch out across the fleet: each entry routes by its
         own key, entries forward concurrently, the response keeps the
         submission order (mirroring the single-server batch shape)."""
@@ -454,9 +425,7 @@ class GatewayApp:
 
         async def one(entry: Any) -> Tuple[int, Dict[str, Any]]:
             async with gate:
-                status, out, _ = await self._submit(entry)
-            if isinstance(out, dict):
-                out.pop("_backend", None)
+                status, out, _ = await self.submit(entry)
             return status, out
 
         outcomes = await asyncio.gather(
@@ -483,23 +452,28 @@ class GatewayApp:
             job_id = self.aliases[job_id]
         return job_id, self.routes.get(job_id)
 
-    async def _proxy_job(self, method: str, job_id: str, tail: str = ""
-                         ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def get_job(self, job_id: str) -> Reply:
+        return await self._proxy_job("GET", job_id)
+
+    async def cancel(self, job_id: str) -> Reply:
+        return await self._proxy_job("DELETE", job_id)
+
+    async def _proxy_job(self, method: str, job_id: str) -> Reply:
         """Proxy one per-job request (status/cancel) to its home shard,
         failing the job over first if its shard died."""
         for _ in range(len(self.config.backends) + 1):
             final_id, route = self._resolve(job_id)
             if route is None:
-                return await self._search_job(method, final_id, tail)
+                return await self._search_job(method, final_id)
             backend = route["backend"]
             if not self.alive.get(backend):
                 await self._mark_down(backend)
                 if self._resolve(job_id)[0] == final_id:
                     break  # nowhere to fail over to
                 continue
-            path = f"/v2/jobs/{final_id}" + (f"/{tail}" if tail else "")
             try:
-                status, _, out = await self._call(backend, method, path)
+                status, _, out = await self._call(backend, method,
+                                                  f"/v2/jobs/{final_id}")
             except (OSError, asyncio.TimeoutError, ConnectionError):
                 await self._mark_down(backend)
                 continue
@@ -511,14 +485,13 @@ class GatewayApp:
                                f"no live shard holds job {job_id!r}",
                                retryable=True), {}
 
-    async def _search_job(self, method: str, job_id: str, tail: str
-                          ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _search_job(self, method: str, job_id: str) -> Reply:
         """A job the gateway has no route for (submitted directly to a
         shard, or the gateway restarted): ask every live shard."""
-        path = f"/v2/jobs/{job_id}" + (f"/{tail}" if tail else "")
         for backend in self._live():
             try:
-                status, _, out = await self._call(backend, method, path)
+                status, _, out = await self._call(backend, method,
+                                                  f"/v2/jobs/{job_id}")
             except (OSError, asyncio.TimeoutError, ConnectionError):
                 await self._mark_down(backend)
                 continue
@@ -527,8 +500,7 @@ class GatewayApp:
         return 404, error_body("job_not_found",
                                f"no such job {job_id!r}"), {}
 
-    async def _list_jobs(self) -> Tuple[int, Dict[str, Any],
-                                        Dict[str, str]]:
+    async def list_jobs(self) -> Reply:
         jobs: List[Dict[str, Any]] = []
         for backend in self._live():
             try:
@@ -542,7 +514,7 @@ class GatewayApp:
                     jobs.append({**job, "shard": backend})
         return 200, {"jobs": jobs}, {}
 
-    def _healthz(self) -> Dict[str, Any]:
+    async def healthz(self) -> Reply:
         shards = {}
         for backend in self.config.backends:
             entry: Dict[str, Any] = {
@@ -553,15 +525,15 @@ class GatewayApp:
             if self.supervisor is not None:
                 entry["pid"] = self.supervisor.pid_of(backend)
             shards[backend] = entry
-        return {
+        return 200, {
             "status": "draining" if self.draining else "ok",
             "role": "gateway",
             "shards": shards,
             "shards_alive": len(self._live()),
             "shards_total": len(self.config.backends),
-        }
+        }, {}
 
-    async def _metrics(self) -> Dict[str, Any]:
+    async def get_metrics(self) -> Reply:
         """Fleet metrics: gateway counters at the top, every shard's
         snapshot under ``shards``, and an ``aggregate`` that sums the
         counters/gauges (percentiles and rates take the fleet max)."""
@@ -589,7 +561,7 @@ class GatewayApp:
                         else max(current, value)
                 else:
                     aggregate[name] = aggregate.get(name, 0) + value
-        return {
+        return 200, {
             "role": "gateway",
             "uptime_seconds": time.time() - self.started_at,
             **self.counters,
@@ -597,113 +569,10 @@ class GatewayApp:
             "shards_total": len(self.config.backends),
             "aggregate": aggregate,
             "shards": snapshots,
-        }
+        }, {}
 
-    # --- HTTP front ---------------------------------------------------------
-
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), 30)
-            if not request:
-                return
-            try:
-                method, target, _ = request.decode("latin-1").split(None, 2)
-            except ValueError:
-                await self._send_json(writer, 400,
-                                      error_body("bad_request",
-                                                 "malformed request line"))
-                return
-            headers = {}
-            while True:
-                line = await asyncio.wait_for(reader.readline(), 30)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
-            body = await reader.readexactly(length) if length else b""
-            await self._route(method, target.split("?", 1)[0], body,
-                              writer)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def _route(self, method: str, path: str, body: bytes,
+    async def stream(self, job_id: str,
                      writer: asyncio.StreamWriter) -> None:
-        legacy = path.startswith("/v1/")
-        extra: Dict[str, str] = {"Deprecation": V1_DEPRECATION} \
-            if legacy else {}
-
-        async def send(status: int, out: Dict[str, Any],
-                       headers: Optional[Dict[str, str]] = None) -> None:
-            if legacy:
-                out = _legacy_body(out)
-            await self._send_json(writer, status, out,
-                                  {**extra, **(headers or {})})
-
-        route = "/v2/" + path[len("/v1/"):] if legacy else path
-        if method == "POST" and route in ("/v2/jobs", "/v2/jobs:batch"):
-            try:
-                payload = json.loads(body or b"null")
-            except ValueError:
-                self.counters["gw_submitted"] += 1
-                self.counters["gw_invalid"] += 1
-                await send(400, error_body("invalid_json",
-                                           "body is not valid JSON"))
-                return
-            intake = (self._submit_batch if route.endswith(":batch")
-                      else self._submit)
-            status, out, headers = await intake(payload)
-            await send(status, out, headers)
-            return
-        if method == "DELETE":
-            if route.startswith("/v2/jobs/"):
-                job_id = route[len("/v2/jobs/"):]
-                if "/" not in job_id:
-                    status, out, headers = await self._proxy_job(
-                        "DELETE", job_id)
-                    await send(status, out, headers)
-                    return
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-            return
-        if method != "GET":
-            await send(405, error_body("method_not_allowed",
-                                       f"unsupported method {method}"))
-            return
-        if route == "/healthz":
-            await send(200, self._healthz())
-        elif route == "/metrics":
-            await send(200, await self._metrics())
-        elif route == "/v2/jobs":
-            status, out, headers = await self._list_jobs()
-            await send(status, out, headers)
-        elif route.startswith("/v2/jobs/"):
-            rest = route[len("/v2/jobs/"):]
-            job_id, _, tail = rest.partition("/")
-            if tail == "":
-                status, out, headers = await self._proxy_job("GET",
-                                                             job_id)
-                await send(status, out, headers)
-            elif tail == "events":
-                await self._stream_proxy(job_id, writer, extra)
-            else:
-                await send(404, error_body("not_found",
-                                           f"no such endpoint {path!r}"))
-        else:
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-
-    async def _stream_proxy(self, job_id: str,
-                            writer: asyncio.StreamWriter,
-                            extra: Dict[str, str]) -> None:
         """Proxy one NDJSON event stream from the job's home shard.
 
         A shard death mid-stream truncates the stream (the client
@@ -717,28 +586,18 @@ class GatewayApp:
                 if self._resolve(job_id)[0] == final_id:
                     break
                 continue
-            if route is None:
-                candidates = self._live()
-            else:
-                candidates = [backend]
-            streamed = False
+            candidates = self._live() if route is None else [backend]
             for candidate in candidates:
-                host, _, port = candidate.rpartition(":")
                 try:
-                    b_reader, b_writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, int(port)),
-                        self.config.backend_timeout)
-                except (OSError, asyncio.TimeoutError):
+                    b_reader, b_writer, status, b_headers = \
+                        await open_request(
+                            candidate, "GET", f"/v2/jobs/{final_id}/events",
+                            None, self.config.backend_timeout)
+                except (OSError, asyncio.TimeoutError, ConnectionError):
                     await self._mark_down(candidate)
                     continue
+                shard = {"X-Repro-Shard": candidate}
                 try:
-                    b_writer.write(
-                        (f"GET /v2/jobs/{final_id}/events HTTP/1.1\r\n"
-                         f"Host: {candidate}\r\n"
-                         f"Connection: close\r\n\r\n").encode())
-                    await b_writer.drain()
-                    status, b_headers = await _read_head(
-                        b_reader, self.config.backend_timeout)
                     if status != 200:
                         if route is None and status == 404:
                             continue  # try the next shard
@@ -751,19 +610,9 @@ class GatewayApp:
                         except ValueError:
                             out = error_body("bad_gateway",
                                              data.decode(errors="replace"))
-                        await self._send_json(
-                            writer, status, out,
-                            {**extra, "X-Repro-Shard": candidate})
+                        await send_json(writer, status, out, shard)
                         return
-                    head = ["HTTP/1.1 200 OK",
-                            "Content-Type: application/x-ndjson",
-                            "Cache-Control: no-store",
-                            f"X-Repro-Shard: {candidate}",
-                            "Connection: close"]
-                    for name, value in extra.items():
-                        head.append(f"{name}: {value}")
-                    writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
-                    streamed = True
+                    send_ndjson_head(writer, shard)
                     while True:
                         chunk = await b_reader.read(4096)
                         if not chunk:
@@ -771,46 +620,16 @@ class GatewayApp:
                         writer.write(chunk)
                         await writer.drain()
                 except (OSError, asyncio.TimeoutError, ConnectionError):
-                    if streamed:
-                        return  # truncated mid-stream; client retries
-                    await self._mark_down(candidate)
-                    continue
+                    return  # truncated mid-stream; client retries
                 finally:
-                    try:
-                        b_writer.close()
-                        await b_writer.wait_closed()
-                    except (ConnectionError, RuntimeError):
-                        pass
+                    await close_writer(b_writer)
             if route is None:
-                await self._send_json(
-                    writer, 404,
-                    {**error_body("job_not_found",
-                                  f"no such job {job_id!r}")}, extra)
+                await send_json(writer, 404, error_body(
+                    "job_not_found", f"no such job {job_id!r}"))
                 return
-        await self._send_json(
-            writer, 503,
-            error_body("shard_unavailable",
-                       f"no live shard holds job {job_id!r}",
-                       retryable=True), extra)
-
-    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
-                         body: Dict[str, Any],
-                         extra_headers: Optional[Dict[str, str]] = None
-                         ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 429: "Too Many Requests",
-                   500: "Internal Server Error", 502: "Bad Gateway",
-                   503: "Service Unavailable"}
-        payload = json.dumps(_json_safe(body), sort_keys=True).encode()
-        head = [f"HTTP/1.1 {status} {reasons.get(status, 'Error')}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
-        for name, value in (extra_headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
-        await writer.drain()
+        await send_json(writer, 503, error_body(
+            "shard_unavailable", f"no live shard holds job {job_id!r}",
+            retryable=True))
 
 
 # --- shard supervision ------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro import Orion, preset
 from repro.core import events as ev
-from repro.core.config import LinkConfig
+from repro.core.config import LinkConfig, RunProtocol
 from repro.power import BusInvertLinkPower, OnChipLinkPower
 from repro.sim.network import Network
 from repro.sim.topology import Torus
@@ -140,8 +140,8 @@ class TestBusInvert:
         coded = base.with_(link=LinkConfig(kind="on_chip", length_mm=1.0,
                                            encoding="bus_invert"))
         def run(cfg):
-            return Orion(cfg).run_uniform(0.05, warmup_cycles=200,
-                                          sample_packets=150)
+            return Orion(cfg).run_uniform(0.05, RunProtocol(
+                warmup_cycles=200, sample_packets=150))
         plain_result = run(base)
         coded_result = run(coded)
         plain_b = plain_result.power_breakdown_w()

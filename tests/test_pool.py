@@ -301,6 +301,30 @@ def test_pool_survives_reuse_across_batches(pool_traffic):
     assert stats["respawns"] == 0
 
 
+def test_new_batch_wakes_idle_dispatcher(monkeypatch):
+    """A batch reaches the dispatcher at once, not when its poll times
+    out: with a 30 s poll (and no worker heartbeats in between to cut
+    it short) a warm idle pool still answers promptly."""
+    import time
+
+    import repro.exp.pool as pool_module
+
+    monkeypatch.setattr(pool_module, "_HEARTBEAT_INTERVAL", 30.0)
+    pool = WorkerPool(1)
+    try:
+        run_points(_points(rates=(0.05,), seeds=(1,)), pool=pool)
+        monkeypatch.setattr(pool_module, "_POLL_INTERVAL", 30.0)
+        time.sleep(0.2)  # let the dispatcher enter the long poll
+        start = time.monotonic()
+        outcomes = run_points(_points(rates=(0.10,), seeds=(1,)),
+                              pool=pool)
+        elapsed = time.monotonic() - start
+    finally:
+        pool.close()
+    assert [o.status for o in outcomes] == ["ok"]
+    assert elapsed < 5.0
+
+
 def test_pool_stats_and_close_idempotent():
     pool = WorkerPool(2)
     stats = pool.stats()

@@ -1,5 +1,7 @@
 """Unit tests for the hierarchical central buffer power model."""
 
+import random
+
 import pytest
 
 from repro.power import CentralBufferPower, FIFOBufferPower
@@ -46,6 +48,16 @@ class TestComposition:
 
 
 class TestEnergies:
+    def test_data_mode_write_mean_matches_average_mode(self):
+        """Random flit payloads average to the payload-free write
+        energy, though the bank row is wider than one flit."""
+        rng = random.Random(3)
+        for model in (cb(), cb(row_access=False)):
+            mean = sum(model.write_energy(rng.getrandbits(model.flit_bits),
+                                          rng.getrandbits(model.flit_bits))
+                       for _ in range(4000)) / 4000
+            assert mean == pytest.approx(model.write_energy(), rel=0.02)
+
     def test_write_composition(self):
         """Write = input crossbar + pipeline register + bank write."""
         model = cb()

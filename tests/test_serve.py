@@ -11,6 +11,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -21,6 +22,8 @@ import pytest
 
 from repro.exp import config_to_dict
 from repro.serve import (
+    GatewayApp,
+    GatewayConfig,
     Job,
     JobError,
     JobJournal,
@@ -545,7 +548,7 @@ class TestBatchAndHousekeeping:
         server = start_server()
         client = server.client
         with pytest.raises(ServeError) as err:
-            client._request("POST", "/v1/jobs:batch", {"jobs": "nope"})
+            client._request("POST", "/v2/jobs:batch", {"jobs": "nope"})
         assert err.value.status == 400
 
     def test_terminal_jobs_evicted_after_ttl(self, start_server):
@@ -639,7 +642,7 @@ class TestBatchAndHousekeeping:
             ServeConfig(housekeeping_interval=0.0, **base)
 
 
-# --- v2 API surface: envelopes, adapters, cancellation -----------------------
+# --- v2 API surface: envelopes, HTTP front, cancellation ----------------------
 
 def raw_request(port, method, path, body=None):
     """One raw HTTP round-trip, returning (status, headers, parsed body) —
@@ -672,32 +675,6 @@ class TestV2Envelope:
         assert status == 404
         assert out["error"]["code"] == "job_not_found"
 
-    def test_v1_adapter_flattens_errors_and_marks_deprecation(
-            self, start_server):
-        server = start_server()
-        port = server.app.port
-        status, headers, out = raw_request(port, "GET", "/v1/jobs/nope")
-        assert status == 404
-        assert isinstance(out["error"], str)  # legacy flat shape
-        assert "Deprecation" in headers
-        assert "/v2/" in headers["Deprecation"]
-        # The native surface carries neither.
-        status, headers, out = raw_request(port, "GET", "/v2/jobs")
-        assert status == 200
-        assert "Deprecation" not in headers
-
-    def test_v1_and_v2_success_bodies_match(self, start_server):
-        server = start_server()
-        port = server.app.port
-        _, _, accepted = raw_request(port, "POST", "/v1/jobs",
-                                     estimate_payload(0.04))
-        server.client.wait(accepted["id"], timeout=60)
-        _, _, via_v1 = raw_request(port, "GET",
-                                   f"/v1/jobs/{accepted['id']}")
-        _, _, via_v2 = raw_request(port, "GET",
-                                   f"/v2/jobs/{accepted['id']}")
-        assert via_v1 == via_v2  # adapters only rewrite *error* bodies
-
     def test_client_raises_typed_exceptions(self, start_server):
         server = start_server()
         client = server.client
@@ -709,6 +686,65 @@ class TestV2Envelope:
             client.submit({"kind": "run", "spec": {"rate": 0.03}})
         assert rejected.value.status == 400
         assert rejected.value.code == "invalid_job"
+
+
+def raw_exchange(port, data):
+    """Send raw request bytes; returns (status, parsed JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.fixture(params=["server", "gateway"])
+def front(request, start_server):
+    """The port of a server, or of a gateway fronting one server, plus
+    the names of the counters a submission bumps there."""
+    server = start_server()
+    if request.param == "server":
+        yield server.app.port, server.client, ("submitted", "invalid")
+        return
+    gateway = ServerHandle(GatewayApp(GatewayConfig(
+        host="127.0.0.1", port=0, quiet=True,
+        backends=(f"127.0.0.1:{server.app.port}",))))
+    try:
+        yield gateway.app.port, gateway.client, ("gw_submitted",
+                                                 "gw_invalid")
+    finally:
+        gateway.close()
+
+
+class TestHTTPFront:
+    def test_malformed_unknown_and_unsupported_requests(self, front):
+        port, client, (submitted, invalid) = front
+        status, out = raw_exchange(port, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert out["error"]["code"] == "bad_request"
+        status, _, out = raw_request(port, "GET", "/v1/jobs/x")
+        assert status == 404
+        assert out["error"]["code"] == "not_found"
+        status, _, out = raw_request(port, "PUT", "/v2/jobs", {})
+        assert status == 405
+        assert out["error"]["code"] == "method_not_allowed"
+        with pytest.raises(JobNotFound) as not_found:
+            client.status("ghost")
+        assert not_found.value.code == "job_not_found"
+        before = client.metrics()
+        status, out = raw_exchange(
+            port, b"POST /v2/jobs HTTP/1.1\r\nContent-Length: 5\r\n"
+                  b"\r\n{nope")
+        assert status == 400
+        assert out["error"]["code"] == "invalid_json"
+        after = client.metrics()
+        assert after[submitted] == before[submitted] + 1
+        assert after[invalid] == before[invalid] + 1
 
 
 class TestCancellation:

@@ -2,14 +2,13 @@
 content-addressed result-cache layout.
 
 Unit layers first — the consistent-hash ring (determinism, balance,
-minimal remap) and the legacy→CAS cache migration — then integration
-against a real two-shard fleet spawned as subprocesses: key-stable
-routing, fleet-wide dedup, v1 adapter parity through the gateway, and
-a SIGKILL failover test asserting no submitted job is ever lost.
+minimal remap) and the CAS cache layout — then integration against a
+real two-shard fleet spawned as subprocesses: key-stable routing,
+fleet-wide dedup, and a SIGKILL failover test asserting no submitted
+job is ever lost.
 """
 
 import os
-import pickle
 import re
 import signal
 import subprocess
@@ -21,10 +20,8 @@ from collections import Counter
 import pytest
 
 from repro.exp.cache import CAS_DIR, ResultCache
-from repro.exp.spec import CACHE_SCHEMA
 from repro.serve import (
     GatewayConfig,
-    JobNotFound,
     ServeClient,
     ShardRing,
 )
@@ -101,55 +98,17 @@ class TestShardRing:
             GatewayConfig(backends=BACKENDS, replicas=0)
 
 
-# --- unit: legacy → CAS cache migration --------------------------------------
-
-KEYS = ("aabbccdd00112233", "aabbeeff44556677", "99887766deadbeef")
-
-
-def write_legacy_entry(root, key, outcome):
-    """Plant one entry in the pre-CAS ``<k[:2]>/<key>.pkl`` layout."""
-    path = root / key[:2] / f"{key}.pkl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        pickle.dump({"schema": CACHE_SCHEMA, "outcome": outcome}, f)
-    return path
-
+# --- unit: CAS cache layout --------------------------------------------------
 
 class TestCacheMigration:
     def test_store_uses_cas_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = KEYS[0]
+        key = "aabbccdd00112233"
         cache.store(key, {"v": 1})
         assert (tmp_path / CAS_DIR / key[:2] / key[2:4]
                 / f"{key}.pkl").exists()
         assert not (tmp_path / key[:2] / f"{key}.pkl").exists()
         assert cache.load(key) == {"v": 1}
-
-    def test_load_migrates_legacy_entry_in_place(self, tmp_path):
-        key = KEYS[0]
-        legacy = write_legacy_entry(tmp_path, key, {"v": "old"})
-        cache = ResultCache(tmp_path)
-        assert cache.load(key) == {"v": "old"}
-        assert not legacy.exists()  # moved, not copied
-        assert (tmp_path / CAS_DIR / key[:2] / key[2:4]
-                / f"{key}.pkl").exists()
-        assert cache.migrated == 1
-        assert cache.load(key) == {"v": "old"}  # now a plain CAS hit
-        assert cache.hits == 2 and cache.misses == 0
-
-    def test_bulk_migrate_is_complete_and_idempotent(self, tmp_path):
-        for index, key in enumerate(KEYS):
-            write_legacy_entry(tmp_path, key, {"v": index})
-        cache = ResultCache(tmp_path)
-        cache.store("ffee00112233", {"v": "native"})
-        assert cache.stats()["legacy_entries"] == len(KEYS)
-        assert cache.migrate() == len(KEYS)
-        stats = cache.stats()
-        assert stats["legacy_entries"] == 0
-        assert stats["entries"] == len(KEYS) + 1
-        assert cache.migrate() == 0  # nothing left to move
-        for index, key in enumerate(KEYS):
-            assert cache.load(key) == {"v": index}
 
 
 # --- integration: a real two-shard fleet -------------------------------------
@@ -273,21 +232,6 @@ class TestGatewayFleet:
         assert metrics["aggregate"]["accepted"] == 9
         assert metrics["aggregate"]["deduped"] == 1
         assert set(metrics["shards"]) == set(client.health()["shards"])
-
-    def test_v1_adapter_and_typed_errors_through_gateway(self, fleet):
-        gw = fleet()
-        status, headers, out = raw_request(gw.port, "GET",
-                                           "/v1/jobs/ghost")
-        assert status == 404
-        assert isinstance(out["error"], str)  # flattened for v1
-        assert "/v2/" in headers["Deprecation"]
-        status, headers, out = raw_request(gw.port, "GET",
-                                           "/v2/jobs/ghost")
-        assert status == 404
-        assert out["error"]["code"] == "job_not_found"
-        assert "Deprecation" not in headers
-        with pytest.raises(JobNotFound):
-            gw.client.status("ghost")
 
     @pytest.mark.chaos
     def test_shard_kill_mid_campaign_loses_no_jobs(self, fleet):
